@@ -20,6 +20,12 @@ use bonsai_sim::{
 };
 use bonsai_util::units;
 use bonsai_verify::{acceleration_diff, equivalence_band, serial_reference, ErrorPercentiles};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// Numbers the runs of this process, so concurrent runs (the test harness
+/// runs tests in parallel, often with the same seed) checkpoint into
+/// distinct directories instead of deleting each other's.
+static RUN_ID: AtomicUsize = AtomicUsize::new(0);
 
 /// The membership bench configuration.
 #[derive(Clone, Debug)]
@@ -106,7 +112,12 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
     for kind in [FaultKind::Drop, FaultKind::Duplicate, FaultKind::Corrupt] {
         plan = plan.with_rate(kind, cfg.fault_rate);
     }
-    let dir = std::env::temp_dir().join(format!("bonsai_membership_bench_{}", cfg.seed));
+    let dir = std::env::temp_dir().join(format!(
+        "bonsai_membership_bench_{}_{}_{}",
+        cfg.seed,
+        std::process::id(),
+        RUN_ID.fetch_add(1, Ordering::Relaxed)
+    ));
     let _ = std::fs::remove_dir_all(&dir);
     let mut cluster = Cluster::with_faults(
         ic,
@@ -114,7 +125,7 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
         ccfg.clone(),
         plan,
         Some(RecoveryConfig {
-            dir,
+            dir: dir.clone(),
             every: cfg.churn_every as u64,
         }),
     );
@@ -143,6 +154,8 @@ pub fn run(cfg: MembershipBenchConfig) -> MembershipResult {
             }
         }
     }
+
+    let _ = std::fs::remove_dir_all(&dir);
 
     let energy_drift = cluster.energy_report().drift_from(&baseline);
     let lost_particles = cfg.n.saturating_sub(cluster.total_particles());

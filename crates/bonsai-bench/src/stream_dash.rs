@@ -235,7 +235,6 @@ pub fn render_snapshot(
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::stream::{run, StreamBenchConfig};
 
     #[test]

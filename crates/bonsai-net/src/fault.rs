@@ -11,17 +11,18 @@
 //! [`FaultyEndpoint`] wraps a plain [`Endpoint`] and applies the plan on
 //! the send side. With an empty plan it is a transparent pass-through
 //! (modulo sealing payloads in [`envelope`](crate::envelope) frames), so
-//! `Cluster` and the live-mode driver run unmodified when no faults are
-//! scheduled.
+//! `Cluster` runs unmodified when no faults are scheduled.
 //!
-//! Injection lives here; *detection* is envelope validation on the receive
-//! side, and *recovery* (retransmit with bounded attempts, boundary-tree
-//! fallback for lost LETs, checkpoint restore for crashed ranks) is driven
-//! by `bonsai-sim`'s cluster. Both halves append to the shared [`FaultLog`]
+//! Injection lives here, and so does *detection*: [`exchange_validated`]
+//! is the one receive path — envelope validation, discard logging and
+//! bounded retransmission — shared by the cluster's physics exchanges and
+//! the membership gossip. The remaining *recovery* (boundary-tree fallback
+//! for lost LETs, checkpoint restore for crashed ranks) is driven by
+//! `bonsai-sim`'s cluster. Both halves append to the shared [`FaultLog`]
 //! so a run can be audited: every injected fault is either recovered or
 //! explicitly surfaced.
 
-use crate::envelope::{kind_code, seal_flow};
+use crate::envelope::{self, kind_code, seal_flow};
 use crate::fabric::{Endpoint, Message, MsgKind};
 use crate::flow::SharedFlowLedger;
 use bonsai_util::hash::mix_many;
@@ -615,10 +616,148 @@ impl FaultyEndpoint {
     pub fn try_recv(&self) -> Option<Message> {
         self.ep.try_recv()
     }
+}
 
-    /// Blocking receive of the next raw frame.
-    pub fn recv(&self) -> Message {
-        self.ep.recv()
+/// One all-to-all exchange over the (possibly faulty) fabric with strict
+/// receive-side validation and bounded retransmission.
+///
+/// `payloads[from][to]` is what `from` owes `to` (`None` = nothing);
+/// `expected[to]` lists the senders `to` waits for. Only ranks with
+/// `participants[r]` set send, flush and drain: a rank outside the round
+/// (a dead member during membership gossip) keeps whatever is queued for
+/// it. Frames failing envelope validation, carrying a stale epoch or the
+/// wrong kind, coming from an unexpected sender, arriving twice, or failing
+/// semantic `parse` are discarded (and logged); missing slots are
+/// re-requested up to `max_retries` times, with retransmitted bytes counted
+/// into `retransmit_bytes`. Returns the validated values plus the `(to,
+/// from)` pairs still missing after the final attempt — the caller decides
+/// whether that means degradation or a dead rank.
+///
+/// Every send and drain runs on the caller's thread in rank order, so the
+/// resulting [`FaultLog`] is deterministic for a given plan.
+#[allow(clippy::too_many_arguments)]
+pub fn exchange_validated<T>(
+    endpoints: &mut [FaultyEndpoint],
+    log: &SharedFaultLog,
+    kind: MsgKind,
+    epoch: u64,
+    participants: &[bool],
+    payloads: &[Vec<Option<Bytes>>],
+    expected: &[Vec<usize>],
+    max_retries: u32,
+    retransmit_bytes: &mut usize,
+    parse: impl Fn(&[u8]) -> Result<T, String>,
+) -> (Vec<Vec<Option<T>>>, Vec<(usize, usize)>) {
+    let p = endpoints.len();
+    for from in (0..p).filter(|&r| participants[r]) {
+        for to in 0..p {
+            if let Some(pl) = &payloads[from][to] {
+                endpoints[from].send_framed(to, kind, epoch, 0, pl);
+            }
+        }
+        endpoints[from].flush_reordered();
+    }
+    let mut got: Vec<Vec<Option<T>>> = (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
+    let mut attempt = 0u32;
+    loop {
+        for to in (0..p).filter(|&r| participants[r]) {
+            while let Some(msg) = endpoints[to].try_recv() {
+                let discard = |action: RecoveryAction, peer: Option<usize>, detail: String| {
+                    log.record_recovery(RecoveryEvent {
+                        epoch,
+                        rank: to,
+                        peer,
+                        kind: Some(kind),
+                        action,
+                        detail,
+                    });
+                };
+                let env = match envelope::open(&msg.payload) {
+                    Ok(env) => env,
+                    Err(e) => {
+                        discard(
+                            RecoveryAction::DiscardCorrupt,
+                            Some(msg.from),
+                            e.to_string(),
+                        );
+                        continue;
+                    }
+                };
+                let from = env.from;
+                if env.epoch != epoch {
+                    discard(
+                        RecoveryAction::DiscardStale,
+                        Some(from),
+                        format!("frame from epoch {}", env.epoch),
+                    );
+                    continue;
+                }
+                if env.kind != kind {
+                    discard(
+                        RecoveryAction::DiscardStale,
+                        Some(from),
+                        format!("late {:?} frame during {kind:?} phase", env.kind),
+                    );
+                    continue;
+                }
+                if from >= p || !expected[to].contains(&from) {
+                    discard(
+                        RecoveryAction::DiscardStale,
+                        Some(from),
+                        "unexpected sender".to_string(),
+                    );
+                    continue;
+                }
+                if got[to][from].is_some() {
+                    discard(
+                        RecoveryAction::DiscardDuplicate,
+                        Some(from),
+                        "extra copy discarded".to_string(),
+                    );
+                    continue;
+                }
+                match parse(env.payload) {
+                    Ok(v) => {
+                        // Validated arrival closes the flow's lifecycle; the
+                        // id rode inside the envelope, so reordered and
+                        // delayed frames settle their own flow.
+                        endpoints[to].flows().deliver(env.flow, env.seq);
+                        got[to][from] = Some(v);
+                    }
+                    Err(why) => discard(RecoveryAction::DiscardCorrupt, Some(from), why),
+                }
+            }
+        }
+        let missing: Vec<(usize, usize)> = (0..p)
+            .flat_map(|to| {
+                expected[to]
+                    .iter()
+                    .filter(|&&f| got[to][f].is_none())
+                    .map(move |&f| (to, f))
+                    .collect::<Vec<_>>()
+            })
+            .collect();
+        if missing.is_empty() || attempt >= max_retries {
+            return (got, missing);
+        }
+        attempt += 1;
+        for &(to, from) in &missing {
+            if let Some(pl) = &payloads[from][to] {
+                log.record_recovery(RecoveryEvent {
+                    epoch,
+                    rank: to,
+                    peer: Some(from),
+                    kind: Some(kind),
+                    action: RecoveryAction::Retransmit,
+                    detail: format!("attempt {attempt}"),
+                });
+                *retransmit_bytes += pl.len();
+                endpoints[from].send_framed(to, kind, epoch, attempt, pl);
+            }
+        }
+        for r in (0..p).filter(|&r| participants[r]) {
+            endpoints[r].flush_reordered();
+        }
     }
 }
 
@@ -642,7 +781,7 @@ mod tests {
     fn empty_plan_is_transparent() {
         let (mut e0, e1, log) = pair(FaultPlan::new(1));
         e0.send_framed(1, MsgKind::Control, 5, 0, b"payload");
-        let m = e1.recv();
+        let m = e1.try_recv().unwrap();
         let env = open(&m.payload).unwrap();
         assert_eq!(env.payload, b"payload");
         assert_eq!(env.epoch, 5);
@@ -681,7 +820,7 @@ mod tests {
             });
             let (mut e0, e1, _log) = pair(plan);
             e0.send_framed(1, MsgKind::Boundary, 0, 0, &[7u8; 256]);
-            let m = e1.recv();
+            let m = e1.try_recv().unwrap();
             assert!(open(&m.payload).is_err(), "{fault} not detected");
         }
     }
@@ -715,7 +854,7 @@ mod tests {
         e0.send_framed(1, MsgKind::Control, 3, 0, b"late");
         assert!(e1.try_recv().is_none());
         e0.flush_delayed();
-        let m = e1.recv().payload;
+        let m = e1.try_recv().unwrap().payload;
         let env = open(&m).unwrap();
         assert_eq!(env.epoch, 3, "delayed frame keeps its original epoch");
     }
@@ -733,8 +872,14 @@ mod tests {
         e0.send_framed(1, MsgKind::Let, 0, 0, b"first");
         e0.send_framed(1, MsgKind::Control, 0, 0, b"second");
         e0.flush_reordered();
-        let a = open(&e1.recv().payload).unwrap().payload.to_vec();
-        let b = open(&e1.recv().payload).unwrap().payload.to_vec();
+        let a = open(&e1.try_recv().unwrap().payload)
+            .unwrap()
+            .payload
+            .to_vec();
+        let b = open(&e1.try_recv().unwrap().payload)
+            .unwrap()
+            .payload
+            .to_vec();
         assert_eq!(a, b"second");
         assert_eq!(b, b"first");
     }
@@ -745,10 +890,58 @@ mod tests {
         let (mut e0, e1, log) = pair(plan);
         e0.send_framed(1, MsgKind::Control, 2, 0, b"heartbeat");
         e0.send_framed(1, MsgKind::Let, 2, 0, b"let");
-        let m = e1.recv();
+        let m = e1.try_recv().unwrap();
         assert_eq!(open(&m.payload).unwrap().payload, b"heartbeat");
         assert!(e1.try_recv().is_none(), "LET send must hang while stalled");
         assert_eq!(log.snapshot().injected_of(FaultKind::Stall), 1);
+    }
+
+    #[test]
+    fn exchange_skips_non_participants_and_bounds_retries() {
+        // Rank 1 stalls, so its LET never leaves on any attempt; rank 2
+        // sits the round out with a frame already queued for it.
+        let (epoch, max_retries) = (4, 3);
+        let log = SharedFaultLog::new();
+        let flows = SharedFlowLedger::new();
+        let plan = Arc::new(FaultPlan::new(8).with_stall(1, epoch));
+        let mut eps: Vec<FaultyEndpoint> = Fabric::new(3)
+            .into_iter()
+            .map(|ep| FaultyEndpoint::new(ep, plan.clone(), log.clone(), flows.clone()))
+            .collect();
+        eps[0].send_framed(2, MsgKind::Let, epoch, 0, b"queued");
+        let frame = |b: &'static [u8]| Some(Bytes::from_static(b));
+        let payloads = vec![
+            vec![None, frame(b"to-1"), None],
+            vec![frame(b"to-0"), None, None],
+            vec![None; 3],
+        ];
+        let expected = vec![vec![1], vec![0], vec![]];
+        let mut retx = 0;
+        let (got, missing) = exchange_validated(
+            &mut eps,
+            &log,
+            MsgKind::Let,
+            epoch,
+            &[true, true, false],
+            &payloads,
+            &expected,
+            max_retries,
+            &mut retx,
+            |b| Ok(b.to_vec()),
+        );
+        assert_eq!(got[1][0].as_deref(), Some(&b"to-1"[..]));
+        assert_eq!(got[0][1], None);
+        assert_eq!(missing, vec![(0, 1)]);
+        let snap = log.snapshot();
+        assert_eq!(
+            snap.recoveries_of(RecoveryAction::Retransmit),
+            max_retries as usize
+        );
+        assert_eq!(retx, max_retries as usize * b"to-0".len());
+        let queued = eps[2]
+            .try_recv()
+            .expect("non-participant's frame left queued");
+        assert_eq!(open(&queued.payload).unwrap().payload, b"queued");
     }
 
     #[test]

@@ -11,13 +11,15 @@
 //!   times from (latency, injection bandwidth, topology congestion), the
 //!   bytes→seconds half of the communication rows of Table II;
 //! * [`fabric`] — crossbeam-channel message passing between in-process
-//!   ranks, used by `bonsai-sim`'s live mode: real bytes flow, the network
+//!   ranks, used by `bonsai-sim`'s cluster: real bytes flow, the network
 //!   model charges simulated time for them;
 //! * [`envelope`] — versioned, CRC-64-checksummed framing for every payload
 //!   that crosses the fabric, so corruption and truncation are detected
 //!   instead of deserialized;
-//! * [`fault`] — deterministic, seeded fault injection ([`FaultPlan`]) and
-//!   the audit log of injected faults and recovery actions ([`FaultLog`]);
+//! * [`fault`] — deterministic, seeded fault injection ([`FaultPlan`]), the
+//!   audit log of injected faults and recovery actions ([`FaultLog`]), and
+//!   the one validated receive path every exchange runs through
+//!   ([`exchange_validated`](fault::exchange_validated));
 //! * [`flow`] — the per-message flow ledger: every sealed envelope is one
 //!   flow whose lifecycle (seal → inject → retransmit → deliver | fallback
 //!   | dead) is recorded deterministically, with a conservation invariant

@@ -36,10 +36,9 @@ use bonsai_domain::{boundary_tree, LetTree, Migration};
 use bonsai_gpu::{
     GpuModel, KernelVariant, BUILD_COST, DOMAIN_COST, INTEGRATE_COST, K20X, PROPS_COST, SORT_COST,
 };
-use bonsai_net::envelope;
 use bonsai_net::fault::{
-    FaultEvent, FaultKind, FaultLog, FaultPlan, FaultyEndpoint, RecoveryAction, RecoveryEvent,
-    SharedFaultLog,
+    exchange_validated, FaultEvent, FaultKind, FaultLog, FaultPlan, FaultyEndpoint,
+    RecoveryAction, RecoveryEvent, SharedFaultLog,
 };
 use bonsai_net::flow::{FlowConservation, FlowLedger, SharedFlowLedger};
 use bonsai_net::membership::{self, MembershipEvent, MembershipLog, View, ViewChange};
@@ -263,10 +262,28 @@ impl Cluster {
         recovery: Option<RecoveryConfig>,
     ) -> Self {
         assert!(p > 0 && !all.is_empty());
-        let pool = cfg.threads.map(|t| Arc::new(rayon::ThreadPool::new(t)));
-        let gpu = GpuModel::new(K20X, KernelVariant::TreeKeplerTuned);
-        let net = NetworkModel::new(cfg.machine);
         let (ranks, domains) = seed_decomposition(&all, p, &cfg);
+        let mut cluster = Self::assemble(cfg, ranks, domains, plan, recovery);
+        // Checkpoint the initial conditions *before* the first force
+        // computation: a rank can die (or be falsely declared dead under
+        // extreme fault rates) in the very first gravity epoch, and
+        // recovery needs something to roll back to.
+        cluster.write_recovery_checkpoint();
+        cluster.on_pool(Self::compute_forces_with_recovery);
+        cluster
+    }
+
+    /// A cluster at time zero over the given shards and domains: fresh
+    /// fabric, empty forces, unit load weights, the initial view, and no
+    /// observers enabled.
+    fn assemble(
+        cfg: ClusterConfig,
+        ranks: Vec<Particles>,
+        domains: Vec<KeyRange>,
+        plan: FaultPlan,
+        recovery: Option<RecoveryConfig>,
+    ) -> Self {
+        let p = ranks.len();
         let plan = Arc::new(plan);
         let fault_log = SharedFaultLog::new();
         let flows = SharedFlowLedger::new();
@@ -274,10 +291,11 @@ impl Cluster {
             .into_iter()
             .map(|ep| FaultyEndpoint::new(ep, plan.clone(), fault_log.clone(), flows.clone()))
             .collect();
-        let mut cluster = Self {
+        Self {
+            gpu: GpuModel::new(K20X, KernelVariant::TreeKeplerTuned),
+            net: NetworkModel::new(cfg.machine),
+            pool: cfg.threads.map(|t| Arc::new(rayon::ThreadPool::new(t))),
             cfg,
-            gpu,
-            net,
             acc: vec![Vec::new(); p],
             pot: vec![Vec::new(); p],
             ranks,
@@ -304,15 +322,7 @@ impl Cluster {
             autoscale: None,
             stream: None,
             drop_migrants: false,
-            pool,
-        };
-        // Checkpoint the initial conditions *before* the first force
-        // computation: a rank can die (or be falsely declared dead under
-        // extreme fault rates) in the very first gravity epoch, and
-        // recovery needs something to roll back to.
-        cluster.write_recovery_checkpoint();
-        cluster.on_pool(Self::compute_forces_with_recovery);
-        cluster
+        }
     }
 
     /// Reconstruct a cluster from exact-resume checkpoint state: per-rank
@@ -335,48 +345,13 @@ impl Cluster {
         let p = ranks.len();
         assert!(p > 0, "exact resume needs at least one rank");
         assert!(acc.len() == p && pot.len() == p && domains.len() == p && weights.len() == p);
-        let cfg_threads = cfg.threads;
-        let gpu = GpuModel::new(K20X, KernelVariant::TreeKeplerTuned);
-        let net = NetworkModel::new(cfg.machine);
-        let plan = Arc::new(FaultPlan::new(0));
-        let fault_log = SharedFaultLog::new();
-        let flows = SharedFlowLedger::new();
-        let endpoints: Vec<FaultyEndpoint> = Fabric::new(p)
-            .into_iter()
-            .map(|ep| FaultyEndpoint::new(ep, plan.clone(), fault_log.clone(), flows.clone()))
-            .collect();
-        Self {
-            cfg,
-            gpu,
-            net,
-            acc,
-            pot,
-            ranks,
-            domains,
-            weights,
-            time,
-            steps,
-            endpoints,
-            plan,
-            fault_log,
-            flows,
-            last_flows: Vec::new(),
-            epoch: 0,
-            dead: vec![false; p],
-            recovery: None,
-            last_measurements: StepMeasurements::default(),
-            trace: TraceStore::new(),
-            registry: MetricsRegistry::new(),
-            trace_clock: 0.0,
-            longrun: None,
-            view: View::initial(p),
-            membership: MembershipLog::new(),
-            elastic: false,
-            autoscale: None,
-            stream: None,
-            drop_migrants: false,
-            pool: cfg_threads.map(|t| Arc::new(rayon::ThreadPool::new(t))),
-        }
+        let mut c = Self::assemble(cfg, ranks, domains, FaultPlan::new(0), None);
+        c.acc = acc;
+        c.pot = pot;
+        c.weights = weights;
+        c.time = time;
+        c.steps = steps;
+        c
     }
 
     /// Re-distribute `all` particles over `p` ranks while *preserving* the
@@ -797,45 +772,50 @@ impl Cluster {
     fn compute_forces_with_recovery(&mut self) -> (StepBreakdown, bool) {
         let mut restored = false;
         loop {
-            // Elastic recovery changes the world size, so the rank count is
-            // re-read on every attempt.
-            let p = self.ranks.len();
-            self.epoch += 1;
-            // Frames held back by Delay/Stall surface now, carrying their
-            // old epoch — receive-side validation discards them as stale.
-            for ep in &mut self.endpoints {
-                ep.flush_delayed();
-            }
-            if p > 1 {
-                // Every rank the plan schedules to die this epoch dies —
-                // simultaneous crashes are one detection pass, not a chain
-                // of separate recoveries.
-                for r in self.plan.crashed_ranks(self.epoch) {
-                    if r >= p || self.dead[r] {
-                        continue;
-                    }
-                    // Hard crash: the rank's in-memory state is gone and it
-                    // sends nothing from here on.
-                    self.fault_log.record_fault(FaultEvent {
-                        epoch: self.epoch,
-                        from: r,
-                        to: r,
-                        kind: MsgKind::Control,
-                        fault: FaultKind::Crash,
-                        attempt: 0,
-                    });
-                    self.dead[r] = true;
-                    self.ranks[r] = Particles::new();
-                    self.acc[r].clear();
-                    self.pot[r].clear();
-                }
-            }
+            self.open_epoch(MsgKind::Control);
             match self.try_gravity_phase() {
                 Ok(breakdown) => return (breakdown, restored),
                 Err(dead) => {
                     self.restore_from_checkpoint(dead);
                     restored = true;
                 }
+            }
+        }
+    }
+
+    /// Advance to the next epoch: frames held back by Delay/Stall surface
+    /// now, carrying their old epoch (receive-side validation discards them
+    /// as stale), and every rank the plan schedules to die this epoch dies.
+    /// Simultaneous crashes are one detection pass, not a chain of separate
+    /// recoveries. `kind` is the message kind the crash faults are logged
+    /// under (the phase the epoch runs).
+    fn open_epoch(&mut self, kind: MsgKind) {
+        self.epoch += 1;
+        for ep in &mut self.endpoints {
+            ep.flush_delayed();
+        }
+        // Elastic recovery changes the world size, so the rank count is
+        // re-read on every epoch.
+        let p = self.ranks.len();
+        if p > 1 {
+            for r in self.plan.crashed_ranks(self.epoch) {
+                if r >= p || self.dead[r] {
+                    continue;
+                }
+                // Hard crash: the rank's in-memory state is gone and it
+                // sends nothing from here on.
+                self.fault_log.record_fault(FaultEvent {
+                    epoch: self.epoch,
+                    from: r,
+                    to: r,
+                    kind,
+                    fault: FaultKind::Crash,
+                    attempt: 0,
+                });
+                self.dead[r] = true;
+                self.ranks[r] = Particles::new();
+                self.acc[r].clear();
+                self.pot[r].clear();
             }
         }
     }
@@ -1050,32 +1030,10 @@ impl Cluster {
     /// change retried against the recovered cluster.
     fn change_view(&mut self, events: Vec<MembershipEvent>) {
         loop {
-            self.epoch += 1;
-            for ep in &mut self.endpoints {
-                ep.flush_delayed();
-            }
-            let p = self.ranks.len();
             // Crashes the plan schedules for this epoch fire during the
             // gossip round, exactly as they would during a physics phase.
-            if p > 1 {
-                for r in self.plan.crashed_ranks(self.epoch) {
-                    if r >= p || self.dead[r] {
-                        continue;
-                    }
-                    self.fault_log.record_fault(FaultEvent {
-                        epoch: self.epoch,
-                        from: r,
-                        to: r,
-                        kind: MsgKind::View,
-                        fault: FaultKind::Crash,
-                        attempt: 0,
-                    });
-                    self.dead[r] = true;
-                    self.ranks[r] = Particles::new();
-                    self.acc[r].clear();
-                    self.pot[r].clear();
-                }
-            }
+            self.open_epoch(MsgKind::View);
+            let p = self.ranks.len();
             if let Some(first) = (0..p).find(|&r| self.dead[r]) {
                 // A member is down: its particles are gone, so recover
                 // before changing the view — the change must not launder a
@@ -1181,14 +1139,12 @@ impl Cluster {
             }
             buckets.push(b);
         }
-        let empty = particles_to_bytes(&Particles::new());
-        let mut retx = 0usize;
-
-        if new_p >= old_p {
+        self.domains = new_domains;
+        let grow = new_p >= old_p;
+        if grow {
             // Growth: joiners only exist on the new fabric, and old ranks
             // keep their indices (fresh ids sort last), so the migration
-            // runs on the rebuilt world. Every pair exchanges a (possibly
-            // empty) payload so receivers know exactly what to expect.
+            // runs on the rebuilt world.
             debug_assert!(new_rank.iter().enumerate().all(|(r, &s)| s == Some(r)));
             self.rebuild_fabric(new_p);
             self.ranks.resize_with(new_p, Particles::new);
@@ -1199,85 +1155,26 @@ impl Cluster {
             self.weights = w;
             self.dead = vec![false; new_p];
             self.view = new_view.clone();
-            self.domains = new_domains;
-            let mut payloads: Vec<Vec<Option<Bytes>>> = vec![vec![None; new_p]; new_p];
-            for (from, row) in payloads.iter_mut().enumerate() {
-                for (to, slot) in row.iter_mut().enumerate() {
-                    if to == from {
-                        continue;
-                    }
-                    *slot = Some(if from < old_p && !buckets[from][to].is_empty() {
-                        particles_to_bytes(&buckets[from][to])
-                    } else {
-                        empty.clone()
-                    });
-                }
-            }
-            let expected = all_pairs_expected(new_p);
-            let (got, missing) = exchange_validated(
-                &mut self.endpoints,
-                &self.fault_log,
-                MsgKind::Particles,
-                self.epoch,
-                &payloads,
-                &expected,
-                MAX_RETRIES_HARD,
-                &mut retx,
-                |_, _, b| particles_from_bytes(b),
-            );
-            if let Some(&(_, from)) = missing.first() {
-                self.restore_from_checkpoint(from);
-                return;
-            }
-            for (to, row) in got.into_iter().enumerate() {
-                for pk in row.into_iter().flatten() {
-                    if !pk.is_empty() {
-                        self.ranks[to].extend_from(&pk);
-                    }
-                }
-            }
-        } else {
-            // Shrink: departing ranks only exist on the old fabric, so the
-            // migration runs there; the world compacts afterwards.
-            let mut payloads: Vec<Vec<Option<Bytes>>> = vec![vec![None; old_p]; old_p];
-            for (from, row) in payloads.iter_mut().enumerate() {
-                for (to, slot) in row.iter_mut().enumerate() {
-                    if to == from {
-                        continue;
-                    }
-                    let bucket = new_view
-                        .rank_of(old_view.members[to])
-                        .map(|d| &buckets[from][d])
-                        .filter(|b| !b.is_empty());
-                    *slot = Some(match bucket {
-                        Some(b) => particles_to_bytes(b),
-                        None => empty.clone(),
-                    });
-                }
-            }
-            let expected = all_pairs_expected(old_p);
-            let (got, missing) = exchange_validated(
-                &mut self.endpoints,
-                &self.fault_log,
-                MsgKind::Particles,
-                self.epoch,
-                &payloads,
-                &expected,
-                MAX_RETRIES_HARD,
-                &mut retx,
-                |_, _, b| particles_from_bytes(b),
-            );
-            if let Some(&(_, from)) = missing.first() {
-                self.restore_from_checkpoint(from);
-                return;
-            }
-            for (to, row) in got.into_iter().enumerate() {
-                for pk in row.into_iter().flatten() {
-                    if !pk.is_empty() {
-                        self.ranks[to].extend_from(&pk);
-                    }
-                }
-            }
+        }
+        // Shrink: departing ranks only exist on the old fabric, so the
+        // migration runs there and the world compacts afterwards. Either
+        // way every pair exchanges a (possibly empty) payload so receivers
+        // know exactly what to expect; fabric rank `to` receives the bucket
+        // of the new rank it becomes (a joiner is its own new rank).
+        let empty = particles_to_bytes(&Particles::new());
+        let payloads = pair_payloads(self.endpoints.len(), |from, to| {
+            let dest = if to < old_p { new_rank[to] } else { Some(to) };
+            let bucket = dest
+                .filter(|_| from < old_p)
+                .map(|d| &buckets[from][d])
+                .filter(|b| !b.is_empty());
+            Some(bucket.map_or_else(|| empty.clone(), particles_to_bytes))
+        });
+        if let Err(from) = self.exchange_particles(&payloads, &mut 0) {
+            self.restore_from_checkpoint(from);
+            return;
+        }
+        if !grow {
             // Compact state to the surviving members, in new-view order.
             let survivors: Vec<usize> = new_view
                 .members
@@ -1294,7 +1191,6 @@ impl Cluster {
             self.dead = vec![false; new_p];
             self.rebuild_fabric(new_p);
             self.view = new_view.clone();
-            self.domains = new_domains;
         }
 
         self.fault_log.record_recovery(RecoveryEvent {
@@ -1333,6 +1229,63 @@ impl Cluster {
         self.write_recovery_checkpoint();
     }
 
+    /// A must-complete exchange in which every rank waits for a frame from
+    /// every other rank. Returns the validated values, or `Err(rank)` for
+    /// the first sender still silent after every retry — to be treated as
+    /// crashed.
+    fn exchange_all_pairs<T>(
+        &mut self,
+        kind: MsgKind,
+        payloads: &[Vec<Option<Bytes>>],
+        retransmit_bytes: &mut usize,
+        parse: impl Fn(&[u8]) -> Result<T, String>,
+    ) -> Result<Vec<Vec<Option<T>>>, usize> {
+        let p = self.endpoints.len();
+        let expected: Vec<Vec<usize>> = (0..p)
+            .map(|to| (0..p).filter(|&f| f != to).collect())
+            .collect();
+        let (got, missing) = exchange_validated(
+            &mut self.endpoints,
+            &self.fault_log,
+            kind,
+            self.epoch,
+            &vec![true; p],
+            payloads,
+            &expected,
+            MAX_RETRIES_HARD,
+            retransmit_bytes,
+            parse,
+        );
+        match missing.first() {
+            Some(&(_, from)) => Err(from),
+            None => Ok(got),
+        }
+    }
+
+    /// Ship migrant rows between every pair of ranks and append each
+    /// validated arrival to its receiver's shard; `Err(rank)` as for
+    /// [`Cluster::exchange_all_pairs`].
+    fn exchange_particles(
+        &mut self,
+        payloads: &[Vec<Option<Bytes>>],
+        retransmit_bytes: &mut usize,
+    ) -> Result<(), usize> {
+        let got = self.exchange_all_pairs(
+            MsgKind::Particles,
+            payloads,
+            retransmit_bytes,
+            particles_from_bytes,
+        )?;
+        for (to, row) in got.into_iter().enumerate() {
+            for pk in row.into_iter().flatten() {
+                if !pk.is_empty() {
+                    self.ranks[to].extend_from(&pk);
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The distributed force computation: heartbeat + bounds, domain
     /// update, particle exchange, tree builds, boundary allgather,
     /// sufficiency checks, LET exchange, walks — with every inter-rank
@@ -1361,38 +1314,25 @@ impl Cluster {
         // retry round is reported dead.
         let mut bounds = Aabb::empty();
         if p > 1 {
-            let mut payloads: Vec<Vec<Option<Bytes>>> = vec![vec![None; p]; p];
-            for r in 0..p {
-                if self.dead[r] {
-                    continue;
-                }
-                let local = if self.ranks[r].is_empty() {
-                    Aabb::empty()
-                } else {
-                    self.ranks[r].bounds()
-                };
-                let enc = Bytes::from(aabb_to_bytes(&local));
-                for to in 0..p {
-                    if to != r {
-                        payloads[r][to] = Some(enc.clone());
-                    }
-                }
-            }
-            let expected = all_pairs_expected(p);
-            let (got, missing) = exchange_validated(
-                &mut self.endpoints,
-                &self.fault_log,
+            let encs: Vec<Option<Bytes>> = (0..p)
+                .map(|r| {
+                    (!self.dead[r]).then(|| {
+                        let local = if self.ranks[r].is_empty() {
+                            Aabb::empty()
+                        } else {
+                            self.ranks[r].bounds()
+                        };
+                        Bytes::from(aabb_to_bytes(&local))
+                    })
+                })
+                .collect();
+            let payloads = pair_payloads(p, |from, _| encs[from].clone());
+            let got = self.exchange_all_pairs(
                 MsgKind::Control,
-                epoch,
                 &payloads,
-                &expected,
-                MAX_RETRIES_HARD,
                 &mut meas.retransmit_bytes,
-                |_, _, b| aabb_from_bytes(b),
-            );
-            if let Some(&(_, from)) = missing.first() {
-                return Err(from);
-            }
+                aabb_from_bytes,
+            )?;
             // Every rank derives the same global box; use rank 0's view.
             if !self.ranks[0].is_empty() {
                 bounds.merge(&self.ranks[0].bounds());
@@ -1455,28 +1395,7 @@ impl Cluster {
                     }
                 }
             }
-            let expected = all_pairs_expected(p);
-            let (got, missing) = exchange_validated(
-                &mut self.endpoints,
-                &self.fault_log,
-                MsgKind::Particles,
-                epoch,
-                &payloads,
-                &expected,
-                MAX_RETRIES_HARD,
-                &mut meas.retransmit_bytes,
-                |_, _, b| particles_from_bytes(b),
-            );
-            if let Some(&(_, from)) = missing.first() {
-                return Err(from);
-            }
-            for (to, row) in got.into_iter().enumerate() {
-                for pk in row.into_iter().flatten() {
-                    if !pk.is_empty() {
-                        self.ranks[to].extend_from(&pk);
-                    }
-                }
-            }
+            self.exchange_particles(&payloads, &mut meas.retransmit_bytes)?;
         }
 
         // Imbalance after the exchange.
@@ -1505,31 +1424,14 @@ impl Cluster {
         let mut held: Vec<Vec<Option<LetTree>>> =
             (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
         if p > 1 {
-            let mut payloads: Vec<Vec<Option<Bytes>>> = vec![vec![None; p]; p];
-            for from in 0..p {
-                let enc = boundaries[from].to_bytes();
-                for to in 0..p {
-                    if to != from {
-                        payloads[from][to] = Some(enc.clone());
-                    }
-                }
-            }
-            let expected = all_pairs_expected(p);
-            let (got, missing) = exchange_validated(
-                &mut self.endpoints,
-                &self.fault_log,
+            let encs: Vec<Bytes> = boundaries.iter().map(LetTree::to_bytes).collect();
+            let payloads = pair_payloads(p, |from, _| Some(encs[from].clone()));
+            held = self.exchange_all_pairs(
                 MsgKind::Boundary,
-                epoch,
                 &payloads,
-                &expected,
-                MAX_RETRIES_HARD,
                 &mut meas.retransmit_bytes,
-                |_, _, b| parse_let_tree(b, "boundary"),
-            );
-            if let Some(&(_, from)) = missing.first() {
-                return Err(from);
-            }
-            held = got;
+                |b| parse_let_tree(b, "boundary"),
+            )?;
         }
 
         // Each rank's own frontier geometry (walk targets for senders).
@@ -1595,11 +1497,12 @@ impl Cluster {
                 &self.fault_log,
                 MsgKind::Let,
                 epoch,
+                &vec![true; p],
                 &let_payloads,
                 &expected_let,
                 MAX_RETRIES_LET,
                 &mut meas.retransmit_bytes,
-                |_, _, b| parse_let_tree(b, "LET"),
+                |b| parse_let_tree(b, "LET"),
             );
             got_lets = got;
             // A LET that never made it is not fatal: the receiver walks the
@@ -2147,10 +2050,14 @@ fn seed_decomposition(
     (ranks, domains)
 }
 
-/// `expected[to]` = every other rank (the all-pairs exchanges).
-fn all_pairs_expected(p: usize) -> Vec<Vec<usize>> {
+/// `payloads[from][to] = f(from, to)` for every pair of distinct ranks.
+fn pair_payloads(p: usize, f: impl Fn(usize, usize) -> Option<Bytes>) -> Vec<Vec<Option<Bytes>>> {
     (0..p)
-        .map(|to| (0..p).filter(|&f| f != to).collect())
+        .map(|from| {
+            (0..p)
+                .map(|to| if to == from { None } else { f(from, to) })
+                .collect()
+        })
         .collect()
 }
 
@@ -2183,141 +2090,6 @@ fn parse_let_tree(b: &[u8], what: &str) -> Result<LetTree, String> {
     lt.check_invariants()
         .map_err(|e| format!("{what} invariants: {e}"))?;
     Ok(lt)
-}
-
-/// One all-to-all exchange over the (possibly faulty) fabric with strict
-/// receive-side validation and bounded retransmission.
-///
-/// `payloads[from][to]` is what `from` owes `to` (`None` = nothing);
-/// `expected[to]` lists the senders `to` waits for. Frames failing envelope
-/// validation, carrying a stale epoch or the wrong kind, arriving twice, or
-/// failing semantic `parse` are discarded (and logged); missing slots are
-/// re-requested up to `max_retries` times, with retransmitted bytes counted
-/// into `retransmit_bytes`. Returns the validated values plus the `(to,
-/// from)` pairs still missing after the final attempt — the caller decides
-/// whether that means degradation or a dead rank.
-///
-/// Every send and drain runs on the caller's thread in rank order, so the
-/// resulting [`FaultLog`] is deterministic for a given plan.
-#[allow(clippy::too_many_arguments)]
-fn exchange_validated<T>(
-    endpoints: &mut [FaultyEndpoint],
-    log: &SharedFaultLog,
-    kind: MsgKind,
-    epoch: u64,
-    payloads: &[Vec<Option<Bytes>>],
-    expected: &[Vec<usize>],
-    max_retries: u32,
-    retransmit_bytes: &mut usize,
-    parse: impl Fn(usize, usize, &[u8]) -> Result<T, String>,
-) -> (Vec<Vec<Option<T>>>, Vec<(usize, usize)>) {
-    let p = endpoints.len();
-    for from in 0..p {
-        for to in 0..p {
-            if let Some(pl) = &payloads[from][to] {
-                endpoints[from].send_framed(to, kind, epoch, 0, pl);
-            }
-        }
-        endpoints[from].flush_reordered();
-    }
-    let mut got: Vec<Vec<Option<T>>> = (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    let mut attempt = 0u32;
-    loop {
-        for to in 0..p {
-            while let Some(msg) = endpoints[to].try_recv() {
-                let discard = |action: RecoveryAction, peer: Option<usize>, detail: String| {
-                    log.record_recovery(RecoveryEvent {
-                        epoch,
-                        rank: to,
-                        peer,
-                        kind: Some(kind),
-                        action,
-                        detail,
-                    });
-                };
-                let env = match envelope::open(&msg.payload) {
-                    Ok(env) => env,
-                    Err(e) => {
-                        discard(RecoveryAction::DiscardCorrupt, Some(msg.from), e.to_string());
-                        continue;
-                    }
-                };
-                let from = env.from;
-                if env.epoch != epoch {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(from),
-                        format!("frame from epoch {}", env.epoch),
-                    );
-                    continue;
-                }
-                if env.kind != kind {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(from),
-                        format!("late {:?} frame during {kind:?} phase", env.kind),
-                    );
-                    continue;
-                }
-                if from >= p || !expected[to].contains(&from) {
-                    discard(
-                        RecoveryAction::DiscardStale,
-                        Some(from),
-                        "unexpected sender".to_string(),
-                    );
-                    continue;
-                }
-                if got[to][from].is_some() {
-                    discard(
-                        RecoveryAction::DiscardDuplicate,
-                        Some(from),
-                        "extra copy discarded".to_string(),
-                    );
-                    continue;
-                }
-                match parse(to, from, env.payload) {
-                    Ok(v) => {
-                        // Validated arrival closes the flow's lifecycle; the
-                        // id rode inside the envelope, so reordered and
-                        // delayed frames settle their own flow.
-                        endpoints[to].flows().deliver(env.flow, env.seq);
-                        got[to][from] = Some(v);
-                    }
-                    Err(why) => discard(RecoveryAction::DiscardCorrupt, Some(from), why),
-                }
-            }
-        }
-        let missing: Vec<(usize, usize)> = (0..p)
-            .flat_map(|to| {
-                expected[to]
-                    .iter()
-                    .filter(|&&f| got[to][f].is_none())
-                    .map(move |&f| (to, f))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        if missing.is_empty() || attempt >= max_retries {
-            return (got, missing);
-        }
-        attempt += 1;
-        for &(to, from) in &missing {
-            if let Some(pl) = &payloads[from][to] {
-                log.record_recovery(RecoveryEvent {
-                    epoch,
-                    rank: to,
-                    peer: Some(from),
-                    kind: Some(kind),
-                    action: RecoveryAction::Retransmit,
-                    detail: format!("attempt {attempt}"),
-                });
-                *retransmit_bytes += pl.len();
-                endpoints[from].send_framed(to, kind, epoch, attempt, pl);
-            }
-        }
-        for ep in endpoints.iter_mut() {
-            ep.flush_reordered();
-        }
-    }
 }
 
 /// Factor `p = px·py` with `px ≈ √p` (the paper's DD-process grid).
@@ -2367,6 +2139,11 @@ mod tests {
         for _ in 0..2 {
             c.step();
         }
+        // Dedicated LETs were in flight, so the clean log below is not
+        // vacuous: had a sender's sufficiency check disagreed with its
+        // receiver's, the log would hold an "unexpected sender" discard or
+        // a boundary fallback.
+        assert!(c.last_measurements.let_neighbors.iter().sum::<usize>() > 0);
         assert!(c.fault_log().is_clean());
         assert_eq!(c.last_measurements.retransmit_bytes, 0);
         assert_eq!(c.last_measurements.degraded_lets, 0);

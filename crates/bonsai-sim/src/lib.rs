@@ -5,20 +5,18 @@
 //! model that extrapolates the measured algorithm to the paper's 18600-GPU
 //! scale.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * [`cluster`] — the lock-step cluster simulator. Every phase of the
 //!   paper's step runs for real: two-level sample-sort domain decomposition,
 //!   particle exchange, per-rank tree builds over a shared global key map,
-//!   boundary-tree "allgather", sender-side sufficiency checks, dedicated
-//!   LET construction for near neighbours, and per-rank force walks whose
-//!   results are *provably* equivalent to a single-process evaluation.
-//!   Byte volumes and interaction counts are measured, then charged to the
-//!   GPU/network models to produce simulated per-phase times (Table II
-//!   rows).
-//! * [`live`] — the same force computation with one OS thread per rank and
-//!   real serialized messages over `bonsai-net`'s crossbeam fabric: the
-//!   proof that the protocol works without a global orchestrator.
+//!   boundary-tree "allgather", symmetric sufficiency checks (sender and
+//!   receiver each derive which dedicated LETs are in flight, with no
+//!   negotiation messages), dedicated LET construction for near
+//!   neighbours, and per-rank force walks whose results are *provably*
+//!   equivalent to a single-process evaluation. Byte volumes and
+//!   interaction counts are measured, then charged to the GPU/network
+//!   models to produce simulated per-phase times (Table II rows).
 //!
 //! Every cluster payload crosses the fabric in checksummed envelopes, and
 //! [`Cluster::with_faults`] accepts a seeded `bonsai-net` fault plan: the
@@ -46,7 +44,6 @@ pub mod autoscale;
 pub mod breakdown;
 pub mod checkpoint;
 pub mod cluster;
-pub mod live;
 pub mod longrun;
 pub mod model;
 pub mod profile;

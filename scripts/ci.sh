@@ -8,6 +8,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: build + full test suite =="
 cargo build --release
 cargo test -q
+# The line above tests only the root facade package; this runs every
+# crate's unit and integration tests.
+cargo test -q --workspace
 
 echo "== tier-1.5: robustness gate =="
 cargo test -q -p bonsai-sim --test robustness
